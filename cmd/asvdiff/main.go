@@ -80,9 +80,8 @@ func isLatencyColumn(name string) bool {
 // measurement in the key would make every row look new and mute the
 // gate). Rates and gated latencies are compared; the rest —
 // percentages, plain durations, nanosecond totals (the tiered panel's
-// simulated stall), averages, and the snapshot panel's
-// epoch-vs-room-lock speedup ratio — are informational.
-var measurementSuffixes = []string{"_pct", "_ms", "_ns", "_avg", "_speedup", "_p99"}
+// simulated stall) and averages — are informational.
+var measurementSuffixes = []string{"_pct", "_ms", "_ns", "_avg", "_p99"}
 
 func isMeasurementColumn(name string) bool {
 	if isRateColumn(name) {

@@ -197,10 +197,10 @@ func run(pages, queries int, distName, mode string, seed uint64, showMaps, paral
 			m.Enqueued, m.Applied, m.Flushes, m.AvgCoalesce())
 		fmt.Printf("  flush triggers: %d count, %d bytes, %d deadline, %d backpressure, %d sync\n",
 			m.CountFlushes, m.ByteFlushes, m.DeadlineFlushes, m.BackpressureFlushes, m.SyncFlushes)
-		lats := p.FlushLatencies()
-		fmt.Printf("  flush latency: p50 %s, p99 %s (%d samples)\n",
-			autopilot.Percentile(lats, 0.50).Round(time.Microsecond),
-			autopilot.Percentile(lats, 0.99).Round(time.Microsecond), len(lats))
+		lat := p.LatencyHistogram()
+		fmt.Printf("  flush latency: p50 %s, p99 %s (%d flushes)\n",
+			time.Duration(lat.Quantile(0.50)).Round(time.Microsecond),
+			time.Duration(lat.Quantile(0.99)).Round(time.Microsecond), lat.Count)
 		fmt.Printf("  lifecycle: %d ticks, %d cold views evicted, %d rebuilt, %d TLB pages warmed\n",
 			m.MaintenanceTicks, m.ViewsEvicted, m.ViewsRebuilt, m.TLBPagesWarmed)
 		fmt.Printf("  cost model: %.0f ns/page scans, %.1f ns/unit alignment\n",

@@ -126,15 +126,15 @@ func main() {
 	run(auto, "autopilot-coalesced updates")
 
 	m, _ := auto.AutopilotMetrics()
-	lats := auto.AutopilotFlushLatencies()
+	lat := auto.Telemetry().Histograms["autopilot_flush_latency_ns"]
 	fmt.Printf("\nautopilot telemetry:\n")
 	fmt.Printf("  %d writes coalesced into %d group commits (avg %.0f writes/flush)\n",
 		m.Applied, m.Flushes, m.AvgCoalesce())
 	fmt.Printf("  flush triggers: %d count-threshold, %d deadline, %d backpressure, %d sync\n",
 		m.CountFlushes, m.DeadlineFlushes, m.BackpressureFlushes, m.SyncFlushes)
 	fmt.Printf("  flush latency: p50 %s, p99 %s (bound 5ms + alignment)\n",
-		asv.AutopilotPercentile(lats, 0.50).Round(time.Microsecond),
-		asv.AutopilotPercentile(lats, 0.99).Round(time.Microsecond))
+		time.Duration(lat.Quantile(0.50)).Round(time.Microsecond),
+		time.Duration(lat.Quantile(0.99)).Round(time.Microsecond))
 	fmt.Printf("  lifecycle: %d maintenance ticks, %d cold views evicted, %d rebuilt, %d TLB pages warmed\n",
 		m.MaintenanceTicks, m.ViewsEvicted, m.ViewsRebuilt, m.TLBPagesWarmed)
 

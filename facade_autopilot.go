@@ -1,10 +1,6 @@
 package asv
 
-import (
-	"time"
-
-	"github.com/asv-db/asv/internal/autopilot"
-)
+import "github.com/asv-db/asv/internal/autopilot"
 
 // AutopilotConfig tunes a column's background maintenance subsystem; see
 // WithAutopilot. The zero value of every field selects the documented
@@ -61,30 +57,4 @@ func (c *Column) AutopilotMetrics() (AutopilotMetrics, bool) {
 		return AutopilotMetrics{}, false
 	}
 	return p.Metrics(), true
-}
-
-// AutopilotFlushLatencies returns flush-latency samples (enqueue of the
-// oldest coalesced write → flush complete), nil without an autopilot.
-// Summarize with AutopilotPercentile.
-//
-// Deprecated: the autopilot no longer retains raw samples; the returned
-// values are synthesized from the flush-latency histogram's quantiles
-// and are quantized to log₂ bucket bounds. Read the histogram directly
-// from Column.Telemetry's "autopilot_flush_latency_ns" instead.
-func (c *Column) AutopilotFlushLatencies() []time.Duration {
-	p := c.eng.Autopilot()
-	if p == nil {
-		return nil
-	}
-	return p.FlushLatencies()
-}
-
-// AutopilotPercentile returns the q-quantile (0..1) of a latency sample
-// set by nearest rank.
-//
-// Deprecated: pair of AutopilotFlushLatencies. Prefer
-// HistogramSnapshot.Quantile on the "autopilot_flush_latency_ns"
-// histogram from Column.Telemetry.
-func AutopilotPercentile(ds []time.Duration, q float64) time.Duration {
-	return autopilot.Percentile(ds, q)
 }

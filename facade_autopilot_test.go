@@ -22,7 +22,7 @@ func TestAutopilotFacade(t *testing.T) {
 	if _, ok := plain.AutopilotMetrics(); ok {
 		t.Fatal("plain column reports an autopilot")
 	}
-	if plain.AutopilotFlushLatencies() != nil || plain.QueuedUpdates() != 0 {
+	if plain.QueuedUpdates() != 0 {
 		t.Fatal("plain column leaks autopilot state")
 	}
 
@@ -79,11 +79,7 @@ func TestAutopilotFacade(t *testing.T) {
 	if !ok || m.Enqueued != 100 || m.Applied != 100 || m.Flushes == 0 {
 		t.Fatalf("metrics %+v ok=%v", m, ok)
 	}
-	lats := col.AutopilotFlushLatencies()
-	if len(lats) == 0 {
-		t.Fatal("no flush latency samples")
-	}
-	if p99 := AutopilotPercentile(lats, 0.99); p99 < 0 {
-		t.Fatalf("p99 %s", p99)
+	if h := col.Telemetry().Histograms["autopilot_flush_latency_ns"]; h.Count == 0 {
+		t.Fatal("no flush latency recorded")
 	}
 }

@@ -41,7 +41,7 @@ func (c *Column) Telemetry() Telemetry { return c.eng.Telemetry() }
 
 // Events drains the column's event journal: the newest JournalEvents
 // engine events (epoch publications/retirements, autopilot duties, tier
-// migration batches, view lifecycle transitions, room handovers) in
+// migration batches, view lifecycle transitions) in
 // sequence order. Returns nil when Config.JournalEvents left the
 // journal disabled.
 func (c *Column) Events() []EngineEvent { return c.eng.Journal().Events() }

@@ -142,14 +142,6 @@ type Config struct {
 	// Adaptive enables partial-view creation and routing. When false the
 	// engine answers every query with a full scan — the paper's baseline.
 	Adaptive bool
-	// RoomLockReads routes queries through the legacy scan-shared room
-	// instead of the lock-free epoch path: readers then stall whenever
-	// alignment, rebuilds or autopilot lifecycle work holds the
-	// exclusive room, exactly as before the epoch redesign. Answers and
-	// adaptive side effects are identical either way. The knob exists
-	// for the `snapshot` bench panel, which measures what epoch routing
-	// buys; production configurations leave it false.
-	RoomLockReads bool
 	// Autopilot, when non-nil, starts the engine's background maintenance
 	// subsystem (internal/autopilot): bounded-latency write coalescing
 	// (Update becomes fire-and-forget and is applied + aligned within
@@ -164,7 +156,7 @@ type Config struct {
 	// fixed-size lock-free ring (rounded up to a power of two, minimum 64)
 	// of typed engine events — epoch publications and retirements,
 	// autopilot duty brackets, tier demotion/promotion batches, view
-	// lifecycle transitions, room-mode handovers. Zero (the default)
+	// lifecycle transitions. Zero (the default)
 	// disables the journal entirely; every recording site is then one nil
 	// pointer test. Drain with Engine.Journal().Events().
 	JournalEvents int

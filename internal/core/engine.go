@@ -26,10 +26,10 @@ import (
 // resolved soft-TLBs — lives in an immutable engineState published via
 // an atomic pointer (see state.go). Queries load the pointer, pin the
 // state with one atomic increment, and route and scan entirely against
-// the capture; they never enter the room lock. Writers use the
-// remaining two room modes (see roomLock): concurrent Update callers
-// share the update room, appending to per-shard pending buffers (the
-// per-shard lock serializes writes to the same physical page, and the
+// the capture; they never enter the room lock. Writers use its two
+// modes (see roomLock): concurrent Update callers share the update
+// room, appending to per-shard pending buffers (the per-shard lock
+// serializes writes to the same physical page, and the
 // column's copy-on-write shadows first-writes per epoch so pinned
 // readers keep frozen pages), and every operation that mutates view
 // state (FlushUpdates/AlignViews, CreateView, RebuildViews, Close, the
@@ -47,12 +47,12 @@ type Engine struct {
 	mapper *view.Mapper
 
 	// mu serializes view-set mutation and page rewiring (exclusive room)
-	// against the update room and — for engines configured with
-	// Config.RoomLockReads — against the legacy scan room. Epoch-routed
-	// queries never take it: they read published immutable states, and
-	// the copy-on-write write path keeps writers off every page a pinned
-	// capture can reach (§2.4 consistency comes from flush-then-publish
-	// instead of reader/writer exclusion).
+	// against the update room, whose holders apply writes or only read
+	// the view set. Epoch-routed queries never take it: they read
+	// published immutable states, and the copy-on-write write path keeps
+	// writers off every page a pinned capture can reach (§2.4
+	// consistency comes from flush-then-publish instead of reader/writer
+	// exclusion).
 	mu roomLock
 
 	// state is the current published routed-read state; stateMu/stateCond
@@ -84,9 +84,9 @@ type Engine struct {
 
 	// gen counts the mutations that invalidate an in-flight candidate
 	// view: update alignment, view rebuild, and engine close (guarded by
-	// mu). A query captures gen during its read-locked scan; if the value
-	// changed by the time it reacquires the write lock to publish its
-	// candidate, the candidate's page set was built from pre-mutation
+	// mu). A query captures gen from the state it pins for its scan; if
+	// the value changed by the time it takes the exclusive room to publish
+	// its candidate, the candidate's page set was built from pre-mutation
 	// state (alignment only walks set members, so a late-published view
 	// would never be realigned) and is discarded instead of published.
 	gen uint64
@@ -153,7 +153,7 @@ type Stats struct {
 }
 
 // engineStats is the lock-free internal counterpart of Stats: counters
-// are bumped from concurrent read-locked queries, so each is atomic.
+// are bumped from concurrent lock-free queries, so each is atomic.
 type engineStats struct {
 	queries             atomic.Uint64
 	fullViewQueries     atomic.Uint64
@@ -245,7 +245,7 @@ func NewEngine(col *storage.Column, cfg Config) (*Engine, error) {
 	// site) unless Config.JournalEvents enables it.
 	e.ins = newEngineInstruments()
 	e.journal = obs.NewJournal(cfg.JournalEvents, cfg.JournalClock)
-	e.mu.obs = &roomObs{wait: e.ins.roomWait, hold: e.ins.roomHold, journal: e.journal}
+	e.mu.obs = &e.ins.room
 	// Epoch routing needs the column's copy-on-write write path: a
 	// published capture must stay frozen while writers shadow pages.
 	col.EnableSnapshots()
@@ -313,8 +313,8 @@ func (e *Engine) ViewSet() *viewset.Set { return e.set }
 
 // Views returns a snapshot of the current partial views.
 func (e *Engine) Views() []*view.View {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.UpdateLock()
+	defer e.mu.UpdateUnlock()
 	return e.set.Partials()
 }
 
@@ -631,8 +631,8 @@ func (e *Engine) putProcessed(v *bitvec.Vector) { e.procPool.Put(v) }
 
 // String summarizes the engine state.
 func (e *Engine) String() string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.UpdateLock()
+	defer e.mu.UpdateUnlock()
 	return fmt.Sprintf("Engine(%s, %d partial views, frozen=%v)",
 		e.cfg.Mode, e.set.Len(), e.set.Frozen())
 }

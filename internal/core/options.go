@@ -52,9 +52,9 @@ type Answer struct {
 //
 // Reads are epoch-routed and lock-free: the query pins the current
 // immutable engine state (published via atomic pointer), routes and
-// scans against its capture, and never enters the room lock's scan room
-// — alignment, rebuilds and autopilot lifecycle work holding the
-// exclusive room no longer stall readers. Updates pending at entry are
+// scans against its capture, and never enters the room lock —
+// alignment, rebuilds and autopilot lifecycle work holding the
+// exclusive room do not stall readers. Updates pending at entry are
 // flushed first (§2.4: views must reflect every applied write before
 // answering); a write that lands after the flush is serialized after
 // this query and becomes visible with the next published state.
@@ -63,9 +63,6 @@ func (e *Engine) QueryOpt(lo, hi uint64, opt QueryOptions) (Answer, error) {
 		lo, hi = hi, lo
 	}
 	e.stats.queries.Add(1)
-	if e.cfg.RoomLockReads {
-		return e.queryOptRoomPath(lo, hi, opt)
-	}
 	if opt.Trace != nil {
 		return e.queryOptTraced(lo, hi, opt)
 	}
@@ -97,7 +94,7 @@ func (e *Engine) QueryOpt(lo, hi uint64, opt QueryOptions) (Answer, error) {
 // finishAdaptive runs the shared tail of every adaptive read path:
 // publish the candidate the pinned scan built (if any) under the
 // exclusive room and apply the retention decision's side effects to the
-// answer. Epoch, room-lock and snapshot-adaptive reads all end here, so
+// answer. Epoch, traced and snapshot-adaptive reads all end here, so
 // the publication protocol cannot silently diverge between them.
 func (e *Engine) finishAdaptive(ans *Answer, cand *view.View, gen uint64) error {
 	if cand == nil {
@@ -107,45 +104,6 @@ func (e *Engine) finishAdaptive(ans *Answer, cand *view.View, gen uint64) error 
 	ans.CandidateBuilt = true
 	ans.Decision = dec
 	return e.applyDecision(dec, cand, displaced)
-}
-
-// queryOptRoomPath is the legacy read path behind Config.RoomLockReads:
-// queries enter the scan-shared room like they did before epoch routing,
-// stalling whenever alignment or lifecycle work holds the exclusive
-// room. Answers and side effects are identical — the `snapshot` bench
-// panel keeps this path around to measure what the redesign bought.
-func (e *Engine) queryOptRoomPath(lo, hi uint64, opt QueryOptions) (Answer, error) {
-	e.mu.RLock()
-	for e.pendingCount.Load() > 0 {
-		e.mu.RUnlock()
-		e.mu.Lock()
-		// Re-check under the exclusive room: a racing query may have
-		// flushed the same batch first.
-		var err error
-		if e.pendingCount.Load() > 0 {
-			_, err = e.flushLocked()
-		}
-		e.mu.Unlock()
-		if err != nil {
-			return Answer{}, err
-		}
-		e.mu.RLock()
-	}
-	if !e.cfg.Adaptive {
-		defer e.mu.RUnlock()
-		st := e.acquireState()
-		defer e.releaseState(st)
-		return e.answerState(st, lo, hi, opt, false)
-	}
-	st := e.acquireState()
-	ans, cand, err := e.answerStateAdapt(st, lo, hi, opt)
-	gen := st.gen
-	e.releaseState(st)
-	e.mu.RUnlock()
-	if err != nil {
-		return ans, err
-	}
-	return ans, e.finishAdaptive(&ans, cand, gen)
 }
 
 // flushPendingForRead flushes the buffered update batch, if any, so the

@@ -66,13 +66,14 @@ func (t pilotTarget) AlignPending() error {
 }
 
 // ViewTemperatures snapshots the LRU clock and every partial view's
-// recency, frequency, size and page-order fragmentation under the scan
-// room (temperature reads are concurrent-reader safe; fragmentation
-// walks the view's soft-TLB, a pure read).
+// recency, frequency, size and page-order fragmentation under the
+// shared update room (temperature reads are concurrent-reader safe;
+// fragmentation walks the view's soft-TLB, a pure read; update-room
+// writers never touch the view set).
 func (t pilotTarget) ViewTemperatures() (uint64, []autopilot.ViewTemp) {
 	e := t.e
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.UpdateLock()
+	defer e.mu.UpdateUnlock()
 	clock := e.set.Clock()
 	temps := e.set.Temperatures()
 	out := make([]autopilot.ViewTemp, 0, len(temps))
@@ -158,9 +159,9 @@ func (t pilotTarget) EvictViews(handles []any) (int, error) {
 
 // RebuildView rebuilds one fragmented view from the column's current
 // contents in its own exclusive-room slice (create first, swap, then
-// release — a failed creation leaves the old view serving). The room
-// handover between slices lets readers and writers interleave with a
-// multi-view maintenance sweep.
+// release — a failed creation leaves the old view serving). Releasing
+// the room between slices lets writers interleave with a multi-view
+// maintenance sweep.
 func (t pilotTarget) RebuildView(h any) (rebuilt bool, err error) {
 	e := t.e
 	e.journalDutyBegin(obs.DutyRebuild)
@@ -220,19 +221,22 @@ func (t pilotTarget) TierInfo() (autopilot.TierInfo, bool) {
 
 // DemotePages demotes pages of the given views (the pilot passes them
 // coldest-first) until maxPages pages moved tier-down. Demotion is pure
-// atomics on the tier words, so the scan room suffices: RLock keeps set
-// membership and view lifetimes stable while epoch readers keep scanning
-// — a reader racing a demotion revalidates through the versioned word
-// and retries, it never blocks. Pinned views, the full view and handles
-// that left the set are skipped.
+// atomics on the tier words, so the shared update room suffices: it
+// keeps set membership and view lifetimes stable while epoch readers
+// keep scanning — a reader racing a demotion revalidates through the
+// versioned word and retries, it never blocks. A concurrent writer's
+// promotion of the same page races the demotion through CAS on the tier
+// word, so the page ends up in whichever tier the last CAS chose — both
+// placements are legal. Pinned views, the full view and handles that
+// left the set are skipped.
 func (t pilotTarget) DemotePages(handles []any, maxPages int) (int, error) {
 	e := t.e
 	if e.tier == nil || maxPages <= 0 {
 		return 0, nil
 	}
 	e.journalDutyBegin(obs.DutyDemote)
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.UpdateLock()
+	defer e.mu.UpdateUnlock()
 	if e.closed {
 		e.journalDutyEnd(obs.DutyDemote, 0, nil)
 		return 0, nil

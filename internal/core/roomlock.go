@@ -7,200 +7,73 @@ import (
 	"github.com/asv-db/asv/internal/obs"
 )
 
-// The engine's locking discipline needs three access modes, one more than
-// a sync.RWMutex offers:
+// roomLock is the engine's two-mode lock over a sync.RWMutex:
 //
-//   - scan-shared: any number of routed read-only queries at once,
-//   - update-shared: any number of Update callers at once (each also
-//     holds a per-shard buffer lock, which serializes same-page writes),
+//   - update (shared): any number of holders at once. Update callers
+//     take it (each also holds a per-shard buffer lock, which serializes
+//     same-page writes), and so do the read-only users of the view set —
+//     Views, String and the autopilot's temperature and demotion passes.
+//     No holder of this mode writes the view set.
 //   - exclusive: flush/alignment, view-set mutation, close.
 //
-// The two shared modes must exclude each other: an Update writes column
-// page bytes the scans read, and a scan may only run when the views
-// reflect every applied write (§2.4). roomLock implements this as room
-// synchronization: at most one "room" (scan, update, or exclusive) is
-// open at a time; any number of holders of the open shared room proceed
-// concurrently; the exclusive room admits exactly one.
+// Epoch-routed queries never take it: they read published immutable
+// states (see Engine). Fairness is the RWMutex's: a waiting Lock blocks
+// new shared entries, and Unlock admits the shared holders that queued
+// behind it, so a saturating stream of writers cannot starve flushes and
+// vice versa.
 //
-// Handover is batched and round-robin. While a shared room is open with
-// no strangers waiting, same-kind arrivals join immediately. As soon as
-// another kind queues, new arrivals queue too (the room is no longer
-// extended), the room drains, and the next room is chosen round-robin
-// among the waiting kinds — every waiter of that kind is admitted in one
-// batch. This keeps a saturating stream of readers from starving writers
-// and vice versa, which is exactly the regime the mixed read/write
-// benchmark panel measures.
-const (
-	roomNone = iota
-	roomScan
-	roomUpdate
-	roomExcl
-	roomKinds
-)
-
-// roomLock is the engine's three-mode lock. The zero value is ready to
-// use. It must not be copied after first use.
+// It must not be copied after first use.
 type roomLock struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	room    int // currently open room (roomNone when idle)
-	active  int // holders currently inside the open room
-	grants  int // handover admissions not yet consumed by woken waiters
-	phase   uint64
-	waiting [roomKinds]int
-	rr      int // round-robin offset for the next handover choice
+	rw sync.RWMutex
 
-	// obs, when set (once, before first use), observes per-mode wait and
-	// hold time and journals handovers. openedAt stamps the current
-	// room's opening (guarded by mu). Fast admissions into an already-
-	// open room never touch the clock — only queued entries and room
-	// transitions pay for telemetry.
+	// obs observes queued-entry wait per mode and exclusive hold time;
+	// set once, before first use. Uncontended entries take the
+	// TryRLock/TryLock fast path and never touch the clock for wait.
+	// lockedAt stamps the current exclusive entry (guarded by rw).
 	obs      *roomObs
-	openedAt time.Time
+	lockedAt time.Time
 }
 
-// roomObs is the room lock's telemetry sink: per-mode wait/hold
-// histograms (indexed by room kind) plus the engine's event journal for
-// handover events (nil-safe).
+// roomObs is the room lock's telemetry sink.
 type roomObs struct {
-	wait    [roomKinds]*obs.Histogram
-	hold    [roomKinds]*obs.Histogram
-	journal *obs.Journal
+	waitUpdate *obs.Histogram
+	waitExcl   *obs.Histogram
+	holdExcl   *obs.Histogram
 }
 
-// RLock enters the scan-shared room (read-locked query path).
-//
-//asv:acquires=scan
-func (l *roomLock) RLock() { l.enter(roomScan) }
-
-// RUnlock leaves the scan-shared room.
-//
-//asv:releases=scan
-func (l *roomLock) RUnlock() { l.leave() }
-
-// UpdateLock enters the update-shared room (concurrent Update callers).
+// UpdateLock enters the shared mode.
 //
 //asv:acquires=update
-func (l *roomLock) UpdateLock() { l.enter(roomUpdate) }
+func (l *roomLock) UpdateLock() {
+	if l.rw.TryRLock() {
+		return
+	}
+	t0 := time.Now()
+	l.rw.RLock()
+	l.obs.waitUpdate.Observe(uint64(time.Since(t0)))
+}
 
-// UpdateUnlock leaves the update-shared room.
+// UpdateUnlock leaves the shared mode.
 //
 //asv:releases=update
-func (l *roomLock) UpdateUnlock() { l.leave() }
+func (l *roomLock) UpdateUnlock() { l.rw.RUnlock() }
 
-// Lock enters the exclusive room (flush/alignment, view-set mutation).
+// Lock enters the exclusive mode (flush/alignment, view-set mutation).
 //
 //asv:acquires=exclusive
-func (l *roomLock) Lock() { l.enter(roomExcl) }
+func (l *roomLock) Lock() {
+	if !l.rw.TryLock() {
+		t0 := time.Now()
+		l.rw.Lock()
+		l.obs.waitExcl.Observe(uint64(time.Since(t0)))
+	}
+	l.lockedAt = time.Now()
+}
 
-// Unlock leaves the exclusive room.
+// Unlock leaves the exclusive mode.
 //
 //asv:releases=exclusive
-func (l *roomLock) Unlock() { l.leave() }
-
-func (l *roomLock) enter(kind int) {
-	l.mu.Lock()
-	if l.cond == nil {
-		l.cond = sync.NewCond(&l.mu)
-	}
-	if l.fastAdmit(kind) {
-		l.mu.Unlock()
-		return
-	}
-	var t0 time.Time
-	if l.obs != nil {
-		t0 = time.Now()
-	}
-	l.waiting[kind]++
-	// A woken waiter consumes one handover grant of its room — but only
-	// a waiter that queued BEFORE the handover (phase check). Without it,
-	// a goroutine that cycles the lock quickly on a busy machine re-queues
-	// between the handover broadcast and an older waiter's wakeup and
-	// steals its grant every time, starving the older waiter for as long
-	// as the cycler stays hot. Each handover bumps the phase, so grants
-	// of phase p are consumable exactly by the waiting[kind] goroutines
-	// that queued in earlier phases — the count the snapshot took.
-	myPhase := l.phase
-	for l.room != kind || l.grants == 0 || l.phase == myPhase {
-		l.cond.Wait()
-	}
-	l.grants--
-	l.waiting[kind]--
-	l.active++
-	l.mu.Unlock()
-	if l.obs != nil {
-		l.obs.wait[kind].Observe(uint64(time.Since(t0)))
-	}
-}
-
-// fastAdmit admits the caller without queueing when possible. Caller
-// holds l.mu.
-func (l *roomLock) fastAdmit(kind int) bool {
-	if l.room == roomNone {
-		// Idle. Handover always opens a room while waiters exist, so
-		// roomNone implies nobody is queued; open the room directly.
-		l.room = kind
-		l.active = 1
-		if l.obs != nil {
-			l.openedAt = time.Now()
-		}
-		return true
-	}
-	if l.room != kind || kind == roomExcl {
-		return false
-	}
-	// The caller's shared room is open: join it, unless another kind is
-	// waiting — extending the room past queued strangers would starve
-	// them.
-	for k := roomNone + 1; k < roomKinds; k++ {
-		if k != kind && l.waiting[k] > 0 {
-			return false
-		}
-	}
-	l.active++
-	return true
-}
-
-func (l *roomLock) leave() {
-	l.mu.Lock()
-	l.active--
-	// grants > 0 means woken waiters of the open room are still on their
-	// way in; the room stays open for them even at active == 0.
-	if l.active == 0 && l.grants == 0 {
-		l.handover()
-	}
-	l.mu.Unlock()
-}
-
-// handover closes the drained room and opens the next one round-robin
-// among the kinds with waiters, granting every current waiter of the
-// chosen shared room (or exactly one exclusive waiter) admission. Caller
-// holds l.mu.
-func (l *roomLock) handover() {
-	from := l.room
-	if l.obs != nil && from != roomNone {
-		l.obs.hold[from].Observe(uint64(time.Since(l.openedAt)))
-	}
-	const kinds = roomKinds - 1 // selectable rooms: scan, update, excl
-	for i := 0; i < kinds; i++ {
-		k := (l.rr+i)%kinds + 1
-		if l.waiting[k] == 0 {
-			continue
-		}
-		l.rr = k % kinds // next handover starts searching after k
-		l.room = k
-		l.phase++
-		if k == roomExcl {
-			l.grants = 1
-		} else {
-			l.grants = l.waiting[k]
-		}
-		if l.obs != nil {
-			l.openedAt = time.Now()
-			l.obs.journal.Record(obs.EvRoomHandover, int64(from), int64(k), int64(l.grants))
-		}
-		l.cond.Broadcast()
-		return
-	}
-	l.room = roomNone
+func (l *roomLock) Unlock() {
+	l.obs.holdExcl.Observe(uint64(time.Since(l.lockedAt)))
+	l.rw.Unlock()
 }

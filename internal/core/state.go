@@ -45,7 +45,7 @@ func (r *refcount) drained() bool { return r.n.Load() == 0 }
 // read state lives in an immutable engineState published behind an
 // atomic pointer. Queries load the pointer, pin the state with one
 // atomic increment, route and scan entirely against the capture, and
-// never enter the room lock's scan room; FlushUpdates, CreateView,
+// never enter the room lock; FlushUpdates, CreateView,
 // RebuildViews, candidate publication and the autopilot's lifecycle
 // duties build a successor state under the exclusive room and swap it
 // in. A superseded state is retired — its captured views released, the

@@ -20,13 +20,9 @@ import (
 type engineInstruments struct {
 	reg *obs.Registry
 
-	// roomWait/roomHold are indexed by room kind (roomScan/roomUpdate/
-	// roomExcl); slot roomNone is unused. Wait is queued-entry time
-	// only (fast admissions never touch the clock); hold is the
-	// open-to-close duration of one room occupancy, shared holders and
-	// all.
-	roomWait [roomKinds]*obs.Histogram
-	roomHold [roomKinds]*obs.Histogram
+	// room observes the room lock: queued-entry wait per mode (fast
+	// admissions never touch the clock) and exclusive hold time.
+	room roomObs
 
 	// retireLag observes publish→drain ns per retired epoch;
 	// publishRecaptured observes the views re-captured per publication;
@@ -38,19 +34,17 @@ type engineInstruments struct {
 
 func newEngineInstruments() *engineInstruments {
 	reg := obs.NewRegistry()
-	ins := &engineInstruments{
+	return &engineInstruments{
 		reg:               reg,
 		retireLag:         reg.Histogram("epoch_retire_lag_ns"),
 		publishRecaptured: reg.Histogram("publish_views_recaptured"),
 		scanNsPerPage:     reg.Histogram("scan_ns_per_page"),
+		room: roomObs{
+			waitUpdate: reg.Histogram("room_wait_ns_update"),
+			waitExcl:   reg.Histogram("room_wait_ns_exclusive"),
+			holdExcl:   reg.Histogram("room_hold_ns_exclusive"),
+		},
 	}
-	for kind, name := range map[int]string{
-		roomScan: "scan", roomUpdate: "update", roomExcl: "exclusive",
-	} {
-		ins.roomWait[kind] = reg.Histogram("room_wait_ns_" + name)
-		ins.roomHold[kind] = reg.Histogram("room_hold_ns_" + name)
-	}
-	return ins
 }
 
 // Telemetry snapshots every engine instrument into one obs.Snapshot:

@@ -62,7 +62,9 @@ type RowWrite struct {
 // are realigned in batches (§2.4). Update enters the engine's shared
 // update room — concurrent writers proceed in parallel, serializing only
 // per pending-buffer shard (i.e. per group of physical pages) — while
-// the room lock keeps writes off pages a concurrent scan is reading.
+// the room lock keeps writes out of a running alignment. Epoch readers
+// never see the write early: the column's copy-on-write path keeps the
+// pages of every published capture frozen.
 //
 // With an autopilot (Config.Autopilot), Update is fire-and-forget: the
 // write is validated and queued in the intake buffers without touching
@@ -83,9 +85,9 @@ func (e *Engine) Update(row int, newVal uint64) error {
 // commit for the write path. It is semantically identical to calling
 // Update for each element in order (on error the prefix before the
 // failing write stays applied and buffered), but the single room
-// admission amortizes the reader/writer room handover across the group:
-// under concurrent readers, every room turn a lone Update wins admits a
-// one-update batch that the next query must flush and align in full.
+// admission amortizes the room entry across the group: under
+// concurrent readers, every lone Update is a one-update batch that the
+// next query must flush and align in full.
 func (e *Engine) UpdateBatch(ws []RowWrite) error {
 	if len(ws) == 0 {
 		return nil

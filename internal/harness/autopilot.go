@@ -214,12 +214,9 @@ func runAutopilotCell(s Scale, c autopilotCell, path writePath) (autopilotResult
 		if p := eng.Autopilot(); p != nil {
 			m := p.Metrics()
 			res.coalesce = m.AvgCoalesce()
-			// p50/p99 via the deprecated sample wrappers on purpose: the
-			// panel doubles as a regression check that the quantile-derived
-			// samples track the underlying histogram.
-			lats := p.FlushLatencies()
-			res.p50 = autopilot.Percentile(lats, 0.50)
-			res.p99 = autopilot.Percentile(lats, 0.99)
+			lat := p.LatencyHistogram()
+			res.p50 = time.Duration(lat.Quantile(0.50))
+			res.p99 = time.Duration(lat.Quantile(0.99))
 			res.tel = eng.Telemetry()
 		}
 		cleanup()

@@ -29,38 +29,27 @@ const snapshotPinBatch = 32
 // updates and flushes every group, so the exclusive room is held by
 // §2.4 alignment almost continuously, while N reader goroutines fire
 // query streams at the same engine. Rows sweep the reader count; columns
-// compare the legacy room-lock read path (Config.RoomLockReads — readers
-// stall behind every alignment slice), the epoch path (the redesign:
-// readers pin published immutable states and never enter the scan
-// room), and pinned-snapshot readers (Snapshot handles re-pinned every
-// few queries — the never-blocking extreme). The speedup column is
-// epoch vs room-lock; the acceptance bar for the redesign is >= 2x.
+// compare the epoch path (readers pin published immutable states and
+// never enter the room lock) with pinned-snapshot readers (Snapshot
+// handles re-pinned every few queries — the never-blocking extreme).
 func RunSnapshot(s Scale) (*Table, error) {
 	readerCounts := []int{1, 2, 4, 8}
 	t := &Table{
 		ID: "snapshot",
 		Title: fmt.Sprintf("Reader qps under forced alignment storm, sine distribution, sel %.0f%%, window >= %s (GOMAXPROCS=%d)",
 			concurrentSel*100, snapshotMinWindow, runtime.GOMAXPROCS(0)),
-		Header: []string{"readers", "roomlock_qps", "epoch_qps", "pinned_qps", "epoch_speedup"},
+		Header: []string{"readers", "epoch_qps", "pinned_qps"},
 	}
 	for _, readers := range readerCounts {
-		room, err := runSnapshotCell(s, readers, true, false)
-		if err != nil {
-			return nil, fmt.Errorf("harness: snapshot %d readers room-lock: %w", readers, err)
-		}
-		epoch, err := runSnapshotCell(s, readers, false, false)
+		epoch, err := runSnapshotCell(s, readers, false)
 		if err != nil {
 			return nil, fmt.Errorf("harness: snapshot %d readers epoch: %w", readers, err)
 		}
-		pinned, err := runSnapshotCell(s, readers, false, true)
+		pinned, err := runSnapshotCell(s, readers, true)
 		if err != nil {
 			return nil, fmt.Errorf("harness: snapshot %d readers pinned: %w", readers, err)
 		}
-		speedup := 0.0
-		if room > 0 {
-			speedup = epoch / room
-		}
-		t.AddRow(itoa(readers), f2(room), f2(epoch), f2(pinned), f2(speedup))
+		t.AddRow(itoa(readers), f2(epoch), f2(pinned))
 		s.logf("snapshot: %d reader(s) done", readers)
 	}
 	return t, nil
@@ -69,12 +58,10 @@ func RunSnapshot(s Scale) (*Table, error) {
 // runSnapshotCell measures one (readers, read path) cell over s.Runs
 // repetitions on fresh engines, returning the best observed reader
 // throughput while the alignment storm runs.
-func runSnapshotCell(s Scale, readers int, roomLock, pinned bool) (float64, error) {
+func runSnapshotCell(s Scale, readers int, pinned bool) (float64, error) {
 	var best float64
 	for run := 0; run < s.Runs; run++ {
-		eng, cleanup, err := mixedEngine(s, func(cfg *core.Config) {
-			cfg.RoomLockReads = roomLock
-		})
+		eng, cleanup, err := mixedEngine(s, nil)
 		if err != nil {
 			return 0, err
 		}

@@ -11,7 +11,6 @@ import (
 // engine's roomLock; "mu" is any sync.Mutex/RWMutex; "any" means "some
 // recognized lock" without naming which.
 const (
-	modeScan      = "scan"
 	modeUpdate    = "update"
 	modeExclusive = "exclusive"
 	modeMu        = "mu"
@@ -20,7 +19,7 @@ const (
 
 func validRequireMode(m string) bool {
 	switch m {
-	case modeScan, modeUpdate, modeExclusive, modeMu, modeAny:
+	case modeUpdate, modeExclusive, modeMu, modeAny:
 		return true
 	}
 	return false
@@ -28,7 +27,7 @@ func validRequireMode(m string) bool {
 
 func validAcquireMode(m string) bool {
 	switch m {
-	case modeScan, modeUpdate, modeExclusive, modeMu:
+	case modeUpdate, modeExclusive, modeMu:
 		return true
 	}
 	return false

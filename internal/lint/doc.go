@@ -7,7 +7,7 @@
 //
 //   - locked: a function whose name ends in "Locked", or that carries an
 //     //asv:locked=<mode> directive, may only be called while the caller
-//     holds that lock mode. Room modes (scan, update, exclusive)
+//     holds that lock mode. Room modes (update, exclusive)
 //     propagate from the roomLock acquire sites (annotated
 //     //asv:acquires=<mode>); the generic mode "mu" is established by
 //     sync.Mutex/sync.RWMutex Lock calls. The analyzer also flags
@@ -55,13 +55,13 @@
 // Directive grammar (all are //-comments with no space after //, so
 // gofmt treats them as directives):
 //
-//	//asv:locked=scan|update|exclusive|mu|any   (func doc) caller must hold the mode
-//	//asv:acquires=scan|update|exclusive|mu     (func doc) calling this acquires the mode
-//	//asv:releases=scan|update|exclusive|mu     (func doc) calling this releases the mode
-//	//asv:immutable                             (type doc) fields writable only in declaring file
-//	//asv:handoff <reason>                      (line) resource ownership transfers; paired check stops
-//	//asv:ignore-err <reason>                   (line) discarded error is intentional
-//	//asv:allow=<analyzer> <reason>             (line) suppress one analyzer's finding on this line
+//	//asv:locked=update|exclusive|mu|any   (func doc) caller must hold the mode
+//	//asv:acquires=update|exclusive|mu     (func doc) calling this acquires the mode
+//	//asv:releases=update|exclusive|mu     (func doc) calling this releases the mode
+//	//asv:immutable                        (type doc) fields writable only in declaring file
+//	//asv:handoff <reason>                 (line) resource ownership transfers; paired check stops
+//	//asv:ignore-err <reason>              (line) discarded error is intentional
+//	//asv:allow=<analyzer> <reason>        (line) suppress one analyzer's finding on this line
 //
 // Line directives attach to their own line and the line directly
 // below, so both trailing comments and a comment line above the

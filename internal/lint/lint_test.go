@@ -54,7 +54,8 @@ func TestParseDirective(t *testing.T) {
 		{"// plain comment", false, false, "", "", ""},
 		{"//go:noinline", false, false, "", "", ""},
 		{"//asv:locked=exclusive", true, false, "locked", "exclusive", ""},
-		{"//asv:locked=scan", true, false, "locked", "scan", ""},
+		{"//asv:locked=update", true, false, "locked", "update", ""},
+		{"//asv:locked=scan", true, true, "locked", "", ""}, // not a lock mode
 		{"//asv:locked", true, true, "locked", "", ""},
 		{"//asv:locked=bogus", true, true, "locked", "", ""},
 		{"//asv:acquires=update", true, false, "acquires", "update", ""},
@@ -125,12 +126,11 @@ func TestSatisfies(t *testing.T) {
 	}{
 		{held(), modeAny, false},
 		{held(modeMu), modeAny, true},
-		{held(modeScan), modeScan, true},
-		{held(modeUpdate), modeScan, false},
-		{held(modeExclusive), modeScan, true},
+		{held(modeUpdate), modeUpdate, true},
+		{held(), modeUpdate, false},
 		{held(modeExclusive), modeUpdate, true},
 		{held(modeExclusive), modeExclusive, true},
-		{held(modeScan), modeExclusive, false},
+		{held(modeUpdate), modeExclusive, false},
 		{held(modeMu), modeMu, true},
 		{held(modeExclusive), modeMu, false},
 		{held(modeAny), modeExclusive, false},

@@ -61,7 +61,7 @@ type lockEvent struct {
 }
 
 func isRoomMode(mode string) bool {
-	return mode == modeScan || mode == modeUpdate || mode == modeExclusive
+	return mode == modeUpdate || mode == modeExclusive
 }
 
 // satisfies reports whether the held mode set meets a requirement.
@@ -193,7 +193,7 @@ func (m *Module) checkLockedFunc(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
 			facts := m.factsOf(f)
 			if isRoomMode(facts.acquires) {
 				held := heldAt(nn.Pos())
-				if held[modeScan] || held[modeUpdate] || held[modeExclusive] {
+				if held[modeUpdate] || held[modeExclusive] {
 					report(nn.Pos(), "acquiring the %s room while a room is already held self-deadlocks the room lock", facts.acquires)
 				}
 			}

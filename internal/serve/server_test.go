@@ -15,6 +15,7 @@ import (
 	"time"
 
 	asv "github.com/asv-db/asv"
+	"github.com/asv-db/asv/internal/obs"
 )
 
 // httpClient drives a server handler (or live base URL) with the JSON
@@ -199,6 +200,46 @@ func TestServeTenantIsolation(t *testing.T) {
 	// No tenant at all is a 400, not a panic or a default namespace.
 	c.must(http.StatusBadRequest, "POST", "/columns/col/query", map[string]any{"lo": 0, "hi": 1}, nil)
 	c.must(http.StatusBadRequest, "POST", "/t/bad%20name/columns", map[string]any{"name": "x", "pages": 1}, nil)
+}
+
+// TestServeShardedTelemetryCountsSpaceOnce pins that the address-space
+// counters (map_*) are counted once per tenant. Every shard of every
+// column lives in the tenant DB's one address space, so the column and
+// tenant snapshots must report exactly what one shard's engine reads,
+// not that reading once per shard or per column.
+func TestServeShardedTelemetryCountsSpaceOnce(t *testing.T) {
+	s, c := newTestServer(t, ServerConfig{})
+	for _, name := range []string{"m", "n"} {
+		c.must(http.StatusCreated, "POST", "/t/acme/columns", map[string]any{
+			"name": name, "pages": 16, "shards": 4, "partitioning": "range",
+			"fill": map[string]any{"dist": "sine", "seed": 3, "lo": 0, "hi": 1 << 20},
+		}, nil)
+	}
+	// Adaptive queries create views, so the space has real mmap calls.
+	for _, r := range [][2]int{{0, 1 << 16}, {1 << 19, 1<<19 + 1<<16}} {
+		c.must(http.StatusOK, "POST", "/t/acme/columns/m/query",
+			map[string]any{"lo": r[0], "hi": r[1], "aggregate": true}, nil)
+	}
+	tenant, ok := s.Catalog().Lookup("acme")
+	if !ok {
+		t.Fatal("tenant acme missing")
+	}
+	col, ok := tenant.Column("m")
+	if !ok {
+		t.Fatal("column m missing")
+	}
+	single := col.shards[0].Telemetry().Counters["map_mmap_calls"]
+	if single == 0 {
+		t.Fatal("setup: no mmap calls recorded")
+	}
+	var tel obs.Snapshot
+	c.must(http.StatusOK, "GET", "/t/acme/columns/m/telemetry", nil, &tel)
+	if got := tel.Counters["map_mmap_calls"]; got != single {
+		t.Fatalf("4-shard column map_mmap_calls = %d, want the single-column reading %d", got, single)
+	}
+	if got := tenant.Telemetry().Counters["map_mmap_calls"]; got != single {
+		t.Fatalf("tenant map_mmap_calls = %d, want the single-column reading %d", got, single)
+	}
 }
 
 // TestServeUpdateBackpressure pins the 429 path: with a one-write

@@ -17,6 +17,7 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	asv "github.com/asv-db/asv"
@@ -295,12 +296,29 @@ func (c *ShardedColumn) Views() int {
 	return total
 }
 
-// Telemetry merges every shard's instrument snapshot (counters and
-// histogram buckets add; gauges take the last shard's reading).
+// Telemetry merges every shard's instrument snapshot (see
+// mergeTelemetry).
 func (c *ShardedColumn) Telemetry() obs.Snapshot {
 	out := obs.NewSnapshot()
 	for _, sc := range c.shards {
-		out = out.Merge(sc.Telemetry())
+		out = mergeTelemetry(out, sc.Telemetry())
+	}
+	return out
+}
+
+// mergeTelemetry folds one engine's snapshot into a tenant-level one:
+// counters and histogram buckets add, gauges take the last reading. The
+// map_* counters are the exception. They count the simulated address
+// space, which every shard and column of a tenant shares through the
+// tenant's one DB, so each engine reports the same space-wide reading;
+// adding them would count the space once per engine. They take the
+// last reading instead, like gauges.
+func mergeTelemetry(out, s obs.Snapshot) obs.Snapshot {
+	out = out.Merge(s)
+	for name, v := range s.Counters {
+		if strings.HasPrefix(name, "map_") {
+			out.Counters[name] = v
+		}
 	}
 	return out
 }

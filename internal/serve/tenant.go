@@ -333,11 +333,11 @@ func (t *Tenant) CloseColumn(name string) error {
 }
 
 // Telemetry merges the instrument snapshots of every column of the
-// tenant.
+// tenant (see mergeTelemetry).
 func (t *Tenant) Telemetry() obs.Snapshot {
 	out := obs.NewSnapshot()
 	for _, col := range t.Columns() {
-		out = out.Merge(col.Telemetry())
+		out = mergeTelemetry(out, col.Telemetry())
 	}
 	return out
 }

@@ -85,7 +85,7 @@ type View struct {
 	// pinned views). Views created through the legacy creation surface
 	// are pinned, so enabling tiering never slows a pre-existing caller.
 	// Atomic: the engine sets it under the exclusive room, the autopilot
-	// reads it under the scan room.
+	// reads it under the shared update room.
 	pinned atomic.Bool
 }
 
@@ -94,7 +94,7 @@ type View struct {
 // column's (fully resolved at NewColumn), so reads through the full view
 // never write view state. A resolution failure is propagated rather than
 // left as a nil slot: a nil entry would silently re-enable the lazy
-// PageBytes fallback, which writes the TLB under concurrent read-locked
+// PageBytes fallback, which writes the TLB under concurrent lock-free
 // scanners.
 func NewFull(col *storage.Column) (*View, error) {
 	v := &View{

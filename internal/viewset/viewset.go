@@ -56,9 +56,9 @@ const (
 	Evicted
 	// DiscardedStale: the engine invalidated the candidate before it
 	// could be published — an update alignment, view rebuild or engine
-	// close ran between the read-locked scan that built it and the
-	// write-locked retention decision, so its page set no longer reflects
-	// the column.
+	// close ran between the pinned scan that built it and the
+	// exclusive-room retention decision, so its page set no longer
+	// reflects the column.
 	DiscardedStale
 )
 
