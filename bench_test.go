@@ -11,8 +11,11 @@
 package asv_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -663,36 +666,120 @@ func BenchmarkAblation_MmapGranularity(b *testing.B) {
 
 // BenchmarkAblation_PageHeader: scan cost of the 24-byte header layout
 // (pageID + zones, 509 values) vs a headerless 512-value page — what the
-// embedded metadata costs every scan.
+// embedded metadata costs every scan. Both sides run the same
+// kernel over 1024 distinct pages per rung of a {uniform, sine, zipf} ×
+// selectivity {0.1%, 1%, 10%} ladder; a headerless page holds the
+// header page's 509 values plus its first three again. A rung's range is
+// cut at the middle quantiles of the pages' values, so its selectivity
+// is the share of values that qualify.
 func BenchmarkAblation_PageHeader(b *testing.B) {
-	page := make([]byte, storage.PageSize)
-	for i := 0; i < storage.ValuesPerPage; i++ {
-		storage.SetValueAt(page, i, uint64(i*2654435761)%benchDomain)
-	}
-	b.Run("with_header_509", func(b *testing.B) {
-		b.SetBytes(storage.PageSize)
-		for i := 0; i < b.N; i++ {
-			_ = storage.ScanFilter(page, 1000, 50_000_000)
+	const pages = 1024
+	for _, name := range []string{"uniform", "sine", "zipf"} {
+		g, err := dist.ByName(name, 1, 0, benchDomain, pages)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("headerless_512", func(b *testing.B) {
-		raw := make([]uint64, 512)
-		for i := range raw {
-			raw[i] = uint64(i*2654435761) % benchDomain
-		}
-		b.SetBytes(storage.PageSize)
-		for i := 0; i < b.N; i++ {
-			count, sum := 0, uint64(0)
-			for _, v := range raw {
-				if v >= 1000 && v <= 50_000_000 {
-					count++
-					sum += v
+		col := benchColumn(b, pages, g)
+		header := make([][]byte, pages)
+		headerless := make([][]byte, pages)
+		vals := make([]uint64, 0, pages*storage.ValuesPerPage)
+		for p := range pages {
+			if header[p], err = col.PageBytes(p); err != nil {
+				b.Fatal(err)
+			}
+			headerless[p] = make([]byte, storage.PageSize)
+			for i := range storage.PageSize / 8 {
+				v := storage.ValueAt(header[p], i%storage.ValuesPerPage)
+				binary.LittleEndian.PutUint64(headerless[p][i*8:], v)
+				if i < storage.ValuesPerPage {
+					vals = append(vals, v)
 				}
 			}
-			_ = count
-			_ = sum
 		}
-	})
+		slices.Sort(vals)
+		for _, sel := range []float64{0.001, 0.01, 0.1} {
+			half := int(sel * float64(len(vals)) / 2)
+			lo, hi := vals[len(vals)/2-half], vals[len(vals)/2+half]
+			for _, side := range []struct {
+				name   string
+				pages  [][]byte
+				values int
+				scan   func([]byte, uint64, uint64) storage.PageScan
+			}{
+				{"with_header_509", header, storage.ValuesPerPage, storage.ScanFilter},
+				{"headerless_512", headerless, storage.PageSize / 8, scanHeaderless},
+			} {
+				b.Run(fmt.Sprintf("%s/sel=%g%%/%s", name, sel*100, side.name), func(b *testing.B) {
+					b.SetBytes(pages * storage.PageSize)
+					for b.Loop() {
+						for _, pg := range side.pages {
+							pageScanSink = side.scan(pg, lo, hi)
+						}
+					}
+					perPage := float64(b.Elapsed().Nanoseconds()) / float64(b.N*pages)
+					b.ReportMetric(perPage, "ns/page")
+					b.ReportMetric(perPage/float64(side.values), "ns/value")
+				})
+			}
+		}
+	}
+}
+
+var pageScanSink storage.PageScan
+
+// scanHeaderless mirrors storage.ScanFilter on a page that is all
+// values, 512 of them from offset 0 (lo <= hi): the same 32-value probe,
+// plain min/max/sum pass and masked pass for straddling pages. Only its
+// cost matters here, so the masked pass does not zero fields without a
+// value.
+func scanHeaderless(page []byte, lo, hi uint64) storage.PageScan {
+	const n, probe = storage.PageSize / 8, 32
+	p := (*[storage.PageSize]byte)(page)
+	straddles := func(vmin, vmax uint64) bool {
+		return vmax >= lo && vmin <= hi && (vmin < lo || vmax > hi)
+	}
+	vmin, vmax, sum := ^uint64(0), uint64(0), uint64(0)
+	for i := range probe {
+		v := binary.LittleEndian.Uint64(p[i*8:])
+		vmin, vmax, sum = min(vmin, v), max(vmax, v), sum+v
+	}
+	if !straddles(vmin, vmax) {
+		for i := probe; i < n; i++ {
+			v := binary.LittleEndian.Uint64(p[i*8:])
+			vmin, vmax, sum = min(vmin, v), max(vmax, v), sum+v
+		}
+		switch {
+		case straddles(vmin, vmax):
+		case vmax < lo:
+			return storage.PageScan{MaxBelow: vmax, HasBelow: true}
+		case vmin > hi:
+			return storage.PageScan{MinAbove: vmin, HasAbove: true}
+		default:
+			return storage.PageScan{Count: n, Sum: sum, Min: vmin, Max: vmax}
+		}
+	}
+	var (
+		nBelow, nAbove, qmax, maxBelow uint64
+		qmin, minAbove                 = ^uint64(0), ^uint64(0)
+	)
+	sum = 0
+	for i := range n {
+		v := binary.LittleEndian.Uint64(p[i*8:])
+		_, b := bits.Sub64(v, lo, 0)
+		_, a := bits.Sub64(hi, v, 0)
+		mBelow, mAbove := -b, -a
+		out := mBelow | mAbove
+		nBelow += b
+		nAbove += a
+		sum += v &^ out
+		qmin = min(qmin, v|out)
+		qmax = max(qmax, v&^out)
+		maxBelow = max(maxBelow, v&mBelow)
+		minAbove = min(minAbove, v|^mAbove)
+	}
+	return storage.PageScan{Count: n - int(nBelow+nAbove), Sum: sum,
+		Min: qmin, Max: qmax, MaxBelow: maxBelow, MinAbove: minAbove,
+		HasBelow: nBelow > 0, HasAbove: nAbove > 0}
 }
 
 // BenchmarkAblation_RemoveCompaction: removing a view page from the middle

@@ -333,7 +333,7 @@ func TestStaleCandidateDiscarded(t *testing.T) {
 		t.Helper()
 		st := eng.acquireState()
 		defer eng.releaseState(st)
-		_, cand, err := eng.scanState(st, lo, hi, nil, 1, true, nil)
+		_, _, cand, err := eng.scanState(st, lo, hi, nil, 1, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +407,7 @@ func TestCloseDiscardsLateCandidates(t *testing.T) {
 	// A scan in flight when Close lands: its candidate must be discarded,
 	// never inserted into the cleared set.
 	st := eng.acquireState()
-	_, cand, err := eng.scanState(st, ccDomain/3, ccDomain/3+ccDomain/20, nil, 1, true, nil)
+	_, _, cand, err := eng.scanState(st, ccDomain/3, ccDomain/3+ccDomain/20, nil, 1, true, nil)
 	gen := st.gen
 	eng.releaseState(st)
 	if err != nil {

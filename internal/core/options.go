@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/asv-db/asv/internal/bitvec"
 	"github.com/asv-db/asv/internal/obs"
 	"github.com/asv-db/asv/internal/storage"
@@ -138,12 +136,13 @@ func (e *Engine) answerState(st *engineState, lo, hi uint64, opt QueryOptions, c
 	ans.Trace = opt.Trace
 	collect := e.buildCollect(lo, hi, opt, &ans)
 	workers := e.resolveOptWorkers(opt)
-	res, _, err := e.scanState(st, lo, hi, collect, workers, false, traceRoot(opt))
+	res, qual, _, err := e.scanState(st, lo, hi, collect, workers, false, traceRoot(opt))
 	ans.QueryResult = res
 	if err != nil {
 		return ans, err
 	}
-	return ans, sealAnswer(&ans)
+	ans.Agg = aggregateOf(opt, qual)
+	return ans, nil
 }
 
 // resolveOptWorkers maps the options' worker override (or its absence)
@@ -158,51 +157,32 @@ func (e *Engine) resolveOptWorkers(opt QueryOptions) int {
 	return resolveWorkers(opt.Workers)
 }
 
-// buildCollect assembles the optional materializations into one
-// page-collect callback (nil when nothing was requested) plus the
-// finisher that seals the Answer after the scan.
+// buildCollect returns the page-collect callback of a Rows() query, or
+// nil when rows were not requested. It is the one second pass a query
+// makes over a page: CollectMatches sets the qualifying slots' row IDs
+// in Answer.Rows. Aggregates need no second pass (see aggregateOf).
 func (e *Engine) buildCollect(lo, hi uint64, opt QueryOptions, ans *Answer) func(uint64, []byte) {
-	if !opt.CollectRows && !opt.ComputeAggregate {
+	if !opt.CollectRows {
 		return nil
 	}
-	if opt.CollectRows {
-		ans.Rows = NewRowSet(e.col.Rows())
-	}
-	if opt.ComputeAggregate {
-		ans.Agg = &Aggregate{}
-	}
-	rs, agg := ans.Rows, ans.Agg
+	rs := NewRowSet(e.col.Rows())
+	ans.Rows = rs
 	return func(pid uint64, pg []byte) {
 		base := int(pid) * storage.ValuesPerPage
-		storage.CollectMatches(pg, lo, hi, func(slot int, v uint64) {
-			if rs != nil {
-				rs.Add(base + slot)
-			}
-			if agg != nil {
-				if agg.Count == 0 || v < agg.Min {
-					agg.Min = v
-				}
-				if agg.Count == 0 || v > agg.Max {
-					agg.Max = v
-				}
-				agg.Count++
-			}
+		storage.CollectMatches(pg, lo, hi, func(slot int, _ uint64) {
+			rs.Add(base + slot)
 		})
 	}
 }
 
-// sealAnswer finalizes the aggregate after the scan: the filtering pass
-// and the collecting pass must agree — captured pages are frozen for the
-// state's lifetime, so a drift can only mean a kernel bug.
-func sealAnswer(ans *Answer) error {
-	if ans.Agg == nil {
+// aggregateOf is the Answer.Agg of a query that asked for one (nil
+// otherwise): count, sum, min and max of the scan's merged qualifying
+// PageScan, which the one filtering pass over each page computed.
+func aggregateOf(opt QueryOptions, qual storage.PageScan) *Aggregate {
+	if !opt.ComputeAggregate {
 		return nil
 	}
-	ans.Agg.Sum = ans.Sum
-	if ans.Agg.Count != ans.Count {
-		return fmt.Errorf("core: aggregate drift: %d != %d", ans.Agg.Count, ans.Count)
-	}
-	return nil
+	return &Aggregate{Count: qual.Count, Sum: qual.Sum, Min: qual.Min, Max: qual.Max}
 }
 
 // answerStateAdapt runs the full Listing-1 path against a pinned state:
@@ -213,17 +193,12 @@ func (e *Engine) answerStateAdapt(st *engineState, lo, hi uint64, opt QueryOptio
 	ans.Trace = opt.Trace
 	collect := e.buildCollect(lo, hi, opt, &ans)
 	workers := e.resolveOptWorkers(opt)
-	res, cand, err := e.scanState(st, lo, hi, collect, workers, true, traceRoot(opt))
+	res, qual, cand, err := e.scanState(st, lo, hi, collect, workers, true, traceRoot(opt))
 	ans.QueryResult = res
 	if err != nil {
 		return ans, cand, err
 	}
-	if err := sealAnswer(&ans); err != nil {
-		if cand != nil {
-			_ = cand.Release() //asv:ignore-err discarding the candidate after a seal error; that error is returned
-		}
-		return ans, nil, err
-	}
+	ans.Agg = aggregateOf(opt, qual)
 	return ans, cand, nil
 }
 
@@ -262,13 +237,16 @@ func (e *Engine) routeState(snap *viewset.Snapshot, lo, hi uint64) []*viewset.Sn
 // capture, scan every source (through the parallel kernel when workers >
 // 1), and — when adapt is set and the capture permits — build the
 // candidate view from query-private state for the caller to publish.
-// Nothing here reads live view or set fields, which is what lets any
-// number of scans overlap alignment, rebuilds and retirement.
-func (e *Engine) scanState(st *engineState, lo, hi uint64, collect func(uint64, []byte), workers int, adapt bool, tsp *obs.Span) (QueryResult, *view.View, error) {
+// It also returns the merged PageScan of every qualifying page, whose
+// count and sum are the answer's and whose min and max an aggregate
+// reports. Nothing here reads live view or set fields, which is what
+// lets any number of scans overlap alignment, rebuilds and retirement.
+func (e *Engine) scanState(st *engineState, lo, hi uint64, collect func(uint64, []byte), workers int, adapt bool, tsp *obs.Span) (QueryResult, storage.PageScan, *view.View, error) {
 	if !e.cfg.Adaptive {
-		res, err := e.fullScanState(st, lo, hi, collect, workers, tsp)
-		return res, nil, err
+		res, qual, err := e.fullScanState(st, lo, hi, collect, workers, tsp)
+		return res, qual, nil, err
 	}
+	var qual storage.PageScan
 	snap := st.snap
 	route := tsp.Child("route")
 	sources := e.routeState(snap, lo, hi)
@@ -302,7 +280,7 @@ func (e *Engine) scanState(st *engineState, lo, hi uint64, collect func(uint64, 
 		var err error
 		builder, err = view.NewBuilder(e.col, e.cfg.Create, e.mapper)
 		if err != nil {
-			return res, nil, err
+			return res, qual, nil, err
 		}
 	}
 	ext := view.NewRangeExtender(lo, hi)
@@ -349,8 +327,7 @@ func (e *Engine) scanState(st *engineState, lo, hi uint64, collect func(uint64, 
 						ext.ObserveExcluded(s)
 						continue
 					}
-					res.Count += s.Count
-					res.Sum += s.Sum
+					qual.Merge(s)
 					if emit != nil {
 						emit(pid, pg)
 					}
@@ -375,29 +352,29 @@ func (e *Engine) scanState(st *engineState, lo, hi uint64, collect func(uint64, 
 			n = len(refs)
 			fetch = func(i int) ([]byte, error) { return refs[i], nil }
 		}
-		qual, excl, err := e.scanPagesAdaptive(n, workers, lo, hi, fetch, emit)
+		q, excl, err := e.scanPagesAdaptive(n, workers, lo, hi, fetch, emit)
 		if err != nil {
 			if builder != nil {
 				_ = builder.Abort() //asv:ignore-err aborting the candidate after a scan error; that error is returned
 			}
-			return res, nil, err
+			return res, qual, nil, err
 		}
 		res.PagesScanned += n
-		res.Count += qual.Count
-		res.Sum += qual.Sum
+		qual.Merge(q)
 		ext.ObserveExcluded(excl)
 		if vsp != nil {
 			vsp.SetAttr("pages_scanned", int64(res.PagesScanned-vspBefore))
 			vsp.Finish()
 		}
 	}
+	res.Count, res.Sum = qual.Count, qual.Sum
 	e.stats.pagesScanned.Add(uint64(res.PagesScanned))
 	if scanSp != nil {
 		e.finishScanSpan(scanSp, &res, tierBase, mapBase)
 	}
 
 	if builder == nil {
-		return res, nil, nil
+		return res, qual, nil, nil
 	}
 	cLo, cHi := ext.Range()
 	srcLo, srcHi := snap.CoveredInterval(sources, lo, hi)
@@ -411,16 +388,17 @@ func (e *Engine) scanState(st *engineState, lo, hi uint64, collect func(uint64, 
 	cand, err := builder.Finish(cLo, cHi)
 	mat.Finish()
 	if err != nil {
-		return res, nil, err
+		return res, qual, nil, err
 	}
-	return res, cand, nil
+	return res, qual, cand, nil
 }
 
 // fullScanState answers [lo, hi] from the state's captured full view —
-// the baseline path. The same page-sharded kernel serves aggregates and
+// the baseline path — and returns the merged qualifying PageScan like
+// scanState. The same page-sharded kernel serves aggregates and
 // collecting callers; the autopilot's cost model picks the fan-out and
 // is fed the observed wall time exactly like the routed path.
-func (e *Engine) fullScanState(st *engineState, lo, hi uint64, collect func(uint64, []byte), workers int, tsp *obs.Span) (QueryResult, error) {
+func (e *Engine) fullScanState(st *engineState, lo, hi uint64, collect func(uint64, []byte), workers int, tsp *obs.Span) (QueryResult, storage.PageScan, error) {
 	res := QueryResult{ViewsUsed: 1, UsedFullView: true}
 	full := st.snap.Full()
 	n := full.NumPages()
@@ -430,13 +408,9 @@ func (e *Engine) fullScanState(st *engineState, lo, hi uint64, collect func(uint
 		scanSp.SetAttr("tlb_pages", int64(n))
 	}
 	fetch := func(i int) ([]byte, error) { return full.PageBytes(i), nil }
-	var emit func(pid uint64, pg []byte)
-	if collect != nil {
-		emit = collect
-	}
-	qual, _, err := e.scanPagesAdaptive(n, workers, lo, hi, fetch, emit)
+	qual, _, err := e.scanPagesAdaptive(n, workers, lo, hi, fetch, collect)
 	if err != nil {
-		return res, err
+		return res, qual, err
 	}
 	res.Count = qual.Count
 	res.Sum = qual.Sum
@@ -446,5 +420,5 @@ func (e *Engine) fullScanState(st *engineState, lo, hi uint64, collect func(uint
 	if scanSp != nil {
 		e.finishScanSpan(scanSp, &res, tierBase, mapBase)
 	}
-	return res, nil
+	return res, qual, nil
 }

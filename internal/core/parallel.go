@@ -49,14 +49,16 @@ func (e *Engine) scanPagesAdaptive(n, workers int, lo, hi uint64,
 //
 // fetch(i) resolves the i-th page and must be safe for concurrent calls —
 // view and column soft-TLBs are fully resolved before a scan can reach
-// them, making page access a pure read. The returned `qual` merges the
-// pages with at least one match (its Count/Sum are the query answer);
-// `excl` merges the zero-match pages (its boundary fields feed
-// candidate-range extension, §2.2).
+// them, making page access a pure read. Each page is read once here: the
+// filter's single pass yields everything an aggregate needs. The returned
+// `qual` merges the pages with at least one match (its Count, Sum, Min
+// and Max are the query's answer and aggregate); `excl` merges the
+// zero-match pages (its boundary fields feed candidate-range extension,
+// §2.2).
 //
 // emit, when non-nil, is invoked for every qualifying page strictly in
-// page order from the calling goroutine — the candidate builder and row
-// collectors depend on that order — after the sharded scan joins (or
+// page order from the calling goroutine — the candidate builder and the
+// Rows() collector depend on that order — after the sharded scan joins (or
 // inline on the serial path). With one worker, a small n, or emit-only
 // runs the kernel degenerates to the plain serial loop.
 func scanPages(n, workers int, filter func([]byte) storage.PageScan,

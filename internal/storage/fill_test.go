@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/asv-db/asv/internal/dist"
@@ -74,9 +75,9 @@ func TestFillParallelStampsExactZones(t *testing.T) {
 	for p := 0; p < 64; p++ {
 		pg, _ := c.PageBytes(p)
 		zMin, zMax := Zone(pg)
-		min, max := PageMinMax(pg)
-		if zMin != min || zMax != max {
-			t.Fatalf("page %d zone (%d,%d) != actual (%d,%d)", p, zMin, zMax, min, max)
+		all := ScanFilter(pg, 0, math.MaxUint64)
+		if zMin != all.Min || zMax != all.Max {
+			t.Fatalf("page %d zone (%d,%d) != actual (%d,%d)", p, zMin, zMax, all.Min, all.Max)
 		}
 		if PageID(pg) != uint64(p) {
 			t.Fatalf("page %d lost its pageID header", p)

@@ -14,11 +14,20 @@
 // variant operate on the same column. The adaptive layer itself never
 // reads the zones (a documented divergence: 509 instead of 511 values per
 // page, see DESIGN.md §4).
+//
+// Scan kernels: ScanFilter is the one pass every count and aggregate
+// query makes over a page. Its loops are branch-free, and it returns the
+// qualifying count, sum, minimum and maximum together with the boundary
+// observations the adaptive layer extends candidate ranges with;
+// PageScan.Merge reduces page and shard results. CollectMatches is the
+// second pass a row query makes over the pages that qualify, to emit
+// their matching slots.
 package storage
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -93,13 +102,17 @@ func SetValueAt(page []byte, i int, v uint64) {
 }
 
 // PageScan is the result of filtering one page against a range predicate.
-// Beyond the qualifying count and sum it reports the boundary values the
-// adaptive layer needs for candidate-range extension (§2.2): the largest
-// on-page value strictly below the predicate and the smallest strictly
-// above it.
+// Beyond the qualifying count, sum, minimum and maximum it reports the
+// boundary values the adaptive layer needs for candidate-range extension
+// (§2.2): the largest on-page value strictly below the predicate and the
+// smallest strictly above it. Min and Max are 0 when Count is 0, and each
+// boundary value is 0 when its Has flag is false, so equal scans compare
+// equal with ==.
 type PageScan struct {
 	Count    int    // qualifying values
 	Sum      uint64 // sum of qualifying values (wrapping; a checkable aggregate)
+	Min      uint64 // smallest qualifying value, valid if Count > 0
+	Max      uint64 // largest qualifying value, valid if Count > 0
 	MaxBelow uint64 // largest value < lo, valid if HasBelow
 	MinAbove uint64 // smallest value > hi, valid if HasAbove
 	HasBelow bool
@@ -108,9 +121,18 @@ type PageScan struct {
 
 // Merge folds another PageScan into s — the shard reducer of the parallel
 // scan kernels. Count and Sum add (wrapping addition is commutative and
-// associative, so any shard order reduces to the serial result); the
-// boundary observations keep the tightest value on each side.
+// associative, so any shard order reduces to the serial result); Min, Max
+// and the boundary observations keep the tightest value on each side,
+// taken only from a side that holds one.
 func (s *PageScan) Merge(o PageScan) {
+	if o.Count > 0 {
+		if s.Count == 0 || o.Min < s.Min {
+			s.Min = o.Min
+		}
+		if s.Count == 0 || o.Max > s.Max {
+			s.Max = o.Max
+		}
+	}
 	s.Count += o.Count
 	s.Sum += o.Sum
 	if o.HasBelow && (!s.HasBelow || o.MaxBelow > s.MaxBelow) {
@@ -123,48 +145,104 @@ func (s *PageScan) Merge(o PageScan) {
 	}
 }
 
+// probeValues is how many leading values ScanFilter reads before it
+// picks a pass: enough that most pages straddling a bound show it (9 in
+// 10 of uniform pages, for 1% ranges at uniform positions), few enough to
+// cost a few percent of a page.
+const probeValues = 32
+
 // ScanFilter scans all value slots of a page against [lo, hi] (inclusive).
+// A page gets one branch-free pass of one of two kinds; only the choice
+// between them branches, once per page, which a predictor learns on
+// clustered and on uniform data alike.
+//
+//   - The plain pass keeps the page's min, max and sum. On a page whose
+//     values all lie on one side of the range, or all inside it, those
+//     are the whole answer. It is the common case of clustered data.
+//   - A page whose values straddle a bound takes the masked pass
+//     (scanStraddling). The first probeValues values show the straddle
+//     on most such pages, so on uniform data ScanFilter costs little
+//     more than the masked pass alone; a page that straddles only past
+//     them is read by both passes.
+//
+// With lo > hi nothing qualifies: a value below lo counts as below, any
+// other as above.
 func ScanFilter(page []byte, lo, hi uint64) PageScan {
-	var s PageScan
-	for i := 0; i < ValuesPerPage; i++ {
-		v := binary.LittleEndian.Uint64(page[HeaderSize+i*8 : HeaderSize+i*8+8])
-		switch {
-		case v < lo:
-			if !s.HasBelow || v > s.MaxBelow {
-				s.MaxBelow = v
-				s.HasBelow = true
-			}
-		case v > hi:
-			if !s.HasAbove || v < s.MinAbove {
-				s.MinAbove = v
-				s.HasAbove = true
-			}
-		default:
-			s.Count++
-			s.Sum += v
-		}
+	p := (*[PageSize]byte)(page)
+	if hi < lo {
+		hi = lo - 1 // lo > hi >= 0: the empty range with the same sides
+	}
+	vmin, vmax, sum := ^uint64(0), uint64(0), uint64(0)
+	for i := range probeValues {
+		v := binary.LittleEndian.Uint64(p[HeaderSize+i*8:])
+		vmin, vmax, sum = min(vmin, v), max(vmax, v), sum+v
+	}
+	if straddles(vmin, vmax, lo, hi) {
+		return scanStraddling(p, lo, hi)
+	}
+	for i := probeValues; i < ValuesPerPage; i++ {
+		v := binary.LittleEndian.Uint64(p[HeaderSize+i*8:])
+		vmin, vmax, sum = min(vmin, v), max(vmax, v), sum+v
+	}
+	switch {
+	case straddles(vmin, vmax, lo, hi):
+		return scanStraddling(p, lo, hi)
+	case vmax < lo:
+		return PageScan{MaxBelow: vmax, HasBelow: true}
+	case vmin > hi:
+		return PageScan{MinAbove: vmin, HasAbove: true}
+	}
+	return PageScan{Count: ValuesPerPage, Sum: sum, Min: vmin, Max: vmax}
+}
+
+// straddles reports whether values spanning [vmin, vmax] lie on more
+// than one side of a bound of [lo, hi]: neither all below, all above nor
+// all inside.
+func straddles(vmin, vmax, lo, hi uint64) bool {
+	return vmax >= lo && vmin <= hi && (vmin < lo || vmax > hi)
+}
+
+// scanStraddling is ScanFilter's masked pass (lo <= hi). Per value, two
+// subtract-with-borrow bits say whether it lies below lo or above hi;
+// negated, they are all-ones masks that select the value into the count,
+// the sum and four running minima/maxima, and min/max compile to
+// conditional moves. A branchy scan would mispredict on such a page about
+// as often as the values cross a bound.
+func scanStraddling(p *[PageSize]byte, lo, hi uint64) PageScan {
+	var (
+		nBelow, nAbove, sum, qmax, maxBelow uint64
+		qmin, minAbove                      = ^uint64(0), ^uint64(0)
+	)
+	for i := range ValuesPerPage {
+		v := binary.LittleEndian.Uint64(p[HeaderSize+i*8:])
+		_, b := bits.Sub64(v, lo, 0) // 1 iff v < lo
+		_, a := bits.Sub64(hi, v, 0) // 1 iff v > hi; exclusive with b as lo <= hi
+		mBelow, mAbove := -b, -a
+		out := mBelow | mAbove
+		nBelow += b
+		nAbove += a
+		sum += v &^ out
+		qmin = min(qmin, v|out)
+		qmax = max(qmax, v&^out)
+		maxBelow = max(maxBelow, v&mBelow)
+		minAbove = min(minAbove, v|^mAbove)
+	}
+	s := PageScan{Count: ValuesPerPage - int(nBelow+nAbove), Sum: sum}
+	if s.Count > 0 {
+		s.Min, s.Max = qmin, qmax
+	}
+	if nBelow > 0 {
+		s.MaxBelow, s.HasBelow = maxBelow, true
+	}
+	if nAbove > 0 {
+		s.MinAbove, s.HasAbove = minAbove, true
 	}
 	return s
 }
 
-// PageMinMax returns the smallest and largest value on the page (used to
-// build zone maps).
-func PageMinMax(page []byte) (min, max uint64) {
-	min = ^uint64(0)
-	for i := 0; i < ValuesPerPage; i++ {
-		v := binary.LittleEndian.Uint64(page[HeaderSize+i*8 : HeaderSize+i*8+8])
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max
-}
-
 // CollectMatches calls emit(slot, value) for every qualifying slot of the
-// page, for callers that materialize row results rather than aggregates.
+// page. It serves callers that materialize rows; aggregates come from
+// ScanFilter alone.
 func CollectMatches(page []byte, lo, hi uint64, emit func(slot int, v uint64)) {
 	for i := 0; i < ValuesPerPage; i++ {
 		v := binary.LittleEndian.Uint64(page[HeaderSize+i*8 : HeaderSize+i*8+8])

@@ -1,6 +1,10 @@
 package storage
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -67,9 +71,9 @@ func TestFillStampsExactZones(t *testing.T) {
 	for p := 0; p < 16; p++ {
 		pg, _ := c.PageBytes(p)
 		zMin, zMax := Zone(pg)
-		min, max := PageMinMax(pg)
-		if zMin != min || zMax != max {
-			t.Fatalf("page %d zone (%d,%d) != actual (%d,%d)", p, zMin, zMax, min, max)
+		all := ScanFilter(pg, 0, math.MaxUint64)
+		if zMin != all.Min || zMax != all.Max {
+			t.Fatalf("page %d zone (%d,%d) != actual (%d,%d)", p, zMin, zMax, all.Min, all.Max)
 		}
 	}
 }
@@ -179,6 +183,9 @@ func TestScanFilter(t *testing.T) {
 	if s.Sum != wantSum {
 		t.Fatalf("Sum = %d, want %d", s.Sum, wantSum)
 	}
+	if s.Min != 100 || s.Max != 200 {
+		t.Fatalf("Min/Max = %d/%d, want 100/200", s.Min, s.Max)
+	}
 	if !s.HasBelow || s.MaxBelow != 98 {
 		t.Fatalf("MaxBelow = %d,%v, want 98,true", s.MaxBelow, s.HasBelow)
 	}
@@ -193,7 +200,7 @@ func TestScanFilterAllQualify(t *testing.T) {
 		SetValueAt(page, i, 50)
 	}
 	s := ScanFilter(page, 0, 100)
-	if s.Count != ValuesPerPage || s.HasBelow || s.HasAbove {
+	if s.Count != ValuesPerPage || s.Min != 50 || s.Max != 50 || s.HasBelow || s.HasAbove {
 		t.Fatalf("got %+v", s)
 	}
 }
@@ -204,21 +211,58 @@ func TestScanFilterNoneQualify(t *testing.T) {
 		SetValueAt(page, i, uint64(1000+i))
 	}
 	s := ScanFilter(page, 0, 10)
-	if s.Count != 0 || s.HasBelow || !s.HasAbove || s.MinAbove != 1000 {
+	if s.Count != 0 || s.Min != 0 || s.Max != 0 || s.HasBelow || !s.HasAbove || s.MinAbove != 1000 {
 		t.Fatalf("got %+v", s)
 	}
 }
 
-func TestPageMinMax(t *testing.T) {
+// TestScanFilterPasses drives every pass ScanFilter can pick — a page
+// all below, all above or all inside the range (plain pass alone), one
+// that straddles within the probe, and ones that straddle only past it —
+// and checks each against the naive scan.
+func TestScanFilterPasses(t *testing.T) {
+	const lo, hi = 100, 200
+	late := func(first, rest uint64) func(i int) uint64 {
+		return func(i int) uint64 {
+			if i < probeValues+5 {
+				return first
+			}
+			return rest
+		}
+	}
+	for name, val := range map[string]func(i int) uint64{
+		"all below":            func(i int) uint64 { return uint64(i % lo) },
+		"all above":            func(i int) uint64 { return hi + 1 + uint64(i) },
+		"all inside":           func(i int) uint64 { return lo + uint64(i%(hi-lo+1)) },
+		"straddles in probe":   func(i int) uint64 { return uint64(i*7) % 300 },
+		"below then inside":    late(lo-1, lo),
+		"inside then above":    late(hi, hi+1),
+		"below then above":     late(0, hi+7),
+		"above then below":     late(hi+1, lo-1),
+		"inside then all over": late(lo, 0),
+	} {
+		page := make([]byte, PageSize)
+		for i := range ValuesPerPage {
+			SetValueAt(page, i, val(i))
+		}
+		if got, want := ScanFilter(page, lo, hi), naiveScanFilter(page, lo, hi); got != want {
+			t.Errorf("%s: ScanFilter = %+v, naive = %+v", name, got, want)
+		}
+	}
+}
+
+// TestScanFilterFullRangeMinMax: over the whole domain every slot
+// qualifies, so Min/Max are the page's extremes — what zone maps hold.
+func TestScanFilterFullRangeMinMax(t *testing.T) {
 	page := make([]byte, PageSize)
 	for i := 0; i < ValuesPerPage; i++ {
 		SetValueAt(page, i, uint64(100+i))
 	}
 	SetValueAt(page, 7, 3)
 	SetValueAt(page, 8, 999999)
-	min, max := PageMinMax(page)
-	if min != 3 || max != 999999 {
-		t.Fatalf("PageMinMax = (%d,%d)", min, max)
+	s := ScanFilter(page, 0, math.MaxUint64)
+	if s.Count != ValuesPerPage || s.Min != 3 || s.Max != 999999 {
+		t.Fatalf("full-range scan = %+v, want Min 3 Max 999999", s)
 	}
 }
 
@@ -313,7 +357,36 @@ func TestClose(t *testing.T) {
 	}
 }
 
-// Property: ScanFilter boundary values are consistent with a naive scan.
+// naiveScanFilter is the branchy reference the kernel must agree with:
+// one comparison chain per value, no masks to overflow.
+func naiveScanFilter(page []byte, lo, hi uint64) PageScan {
+	var s PageScan
+	for i := 0; i < ValuesPerPage; i++ {
+		v := ValueAt(page, i)
+		switch {
+		case v < lo:
+			if !s.HasBelow || v > s.MaxBelow {
+				s.MaxBelow, s.HasBelow = v, true
+			}
+		case v > hi:
+			if !s.HasAbove || v < s.MinAbove {
+				s.MinAbove, s.HasAbove = v, true
+			}
+		default:
+			if s.Count == 0 || v < s.Min {
+				s.Min = v
+			}
+			if s.Count == 0 || v > s.Max {
+				s.Max = v
+			}
+			s.Count++
+			s.Sum += v
+		}
+	}
+	return s
+}
+
+// Property: ScanFilter's aggregates and boundary values match a naive scan.
 func TestQuickScanFilterMatchesNaive(t *testing.T) {
 	f := func(vals []uint64, loRaw, hiRaw uint64) bool {
 		lo, hi := loRaw, hiRaw
@@ -328,43 +401,122 @@ func TestQuickScanFilterMatchesNaive(t *testing.T) {
 			}
 			SetValueAt(page, i, v)
 		}
-		got := ScanFilter(page, lo, hi)
-
-		var want PageScan
-		for i := 0; i < ValuesPerPage; i++ {
-			v := ValueAt(page, i)
-			switch {
-			case v < lo:
-				if !want.HasBelow || v > want.MaxBelow {
-					want.MaxBelow, want.HasBelow = v, true
-				}
-			case v > hi:
-				if !want.HasAbove || v < want.MinAbove {
-					want.MinAbove, want.HasAbove = v, true
-				}
-			default:
-				want.Count++
-				want.Sum += v
-			}
-		}
-		return got == want
+		return ScanFilter(page, lo, hi) == naiveScanFilter(page, lo, hi)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-func BenchmarkScanFilterPage(b *testing.B) {
+// fuzzPage lays data out over the page's value slots, repeating it until
+// every slot is written; an input shorter than one value leaves the slots
+// zero.
+func fuzzPage(data []byte) []byte {
 	page := make([]byte, PageSize)
-	for i := 0; i < ValuesPerPage; i++ {
-		SetValueAt(page, i, uint64(i*7919%100000))
+	if len(data) == 0 {
+		return page
 	}
-	b.SetBytes(PageSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ScanFilter(page, 1000, 50000)
+	for off := HeaderSize; off < PageSize; off += len(data) {
+		copy(page[off:], data)
+	}
+	return page
+}
+
+// valueBytes encodes values as the little-endian slot bytes fuzzPage
+// repeats over a page.
+func valueBytes(vs ...uint64) []byte {
+	out := make([]byte, 0, 8*len(vs))
+	for _, v := range vs {
+		out = binary.LittleEndian.AppendUint64(out, v)
+	}
+	return out
+}
+
+// FuzzScanFilter compares the branch-free kernel with naiveScanFilter on
+// arbitrary pages and ranges, lo > hi included. The seeds are the cases
+// where mask arithmetic overflows: the domain's ends as bounds and as
+// values, lo == hi, values one step outside each bound, pages on which
+// every slot or no slot qualifies, and a page that straddles a bound only
+// past the probe.
+func FuzzScanFilter(f *testing.F) {
+	const maxU = math.MaxUint64
+	f.Add(valueBytes(0, 1, maxU-1, maxU), uint64(0), uint64(maxU))
+	f.Add(valueBytes(0, maxU, 7), uint64(7), uint64(7))
+	f.Add(valueBytes(0, maxU), uint64(0), uint64(0))
+	f.Add(valueBytes(0, maxU), uint64(maxU), uint64(maxU))
+	f.Add(valueBytes(99, 100, 200, 201), uint64(100), uint64(200))
+	f.Add(valueBytes(0, 1, maxU-1, maxU), uint64(1), uint64(maxU-1))
+	f.Add(valueBytes(50), uint64(0), uint64(100))        // every slot qualifies
+	f.Add(valueBytes(1000, 2000), uint64(0), uint64(10)) // no slot qualifies
+	f.Add(valueBytes(5, 10, 15), uint64(12), uint64(8))  // lo > hi
+	// Uniform for the first probeValues slots, straddling after them.
+	f.Add(valueBytes(append(slices.Repeat([]uint64{99}, probeValues+3), 100)...), uint64(100), uint64(200))
+	f.Add([]byte{}, uint64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, data []byte, lo, hi uint64) {
+		page := fuzzPage(data)
+		if got, want := ScanFilter(page, lo, hi), naiveScanFilter(page, lo, hi); got != want {
+			t.Fatalf("ScanFilter(%d, %d) = %+v, naive = %+v", lo, hi, got, want)
+		}
+	})
+}
+
+// ladderPages is how many distinct pages each kernel benchmark rung
+// scans: 4 MiB of page images, more than the L2 holds and more branch
+// history than a predictor learns, unlike a benchmark that repeats one
+// cache-hot page.
+const ladderPages = 1024
+
+var ladderSink PageScan
+
+// benchLadder runs scan as a ladder of sub-benchmarks over ladderPages
+// distinct pages of {uniform, sine, zipf} data × selectivity {0.1%, 1%,
+// 10%}, reporting ns/page. A rung's range is cut at the middle quantiles
+// of the pages' values, so its selectivity is the share of values that
+// qualify whatever the distribution.
+func benchLadder(b *testing.B, scan func(page []byte, lo, hi uint64) PageScan) {
+	for _, name := range []string{"uniform", "sine", "zipf"} {
+		g, err := dist.ByName(name, 1, 0, 100_000_000, ladderPages)
+		if err != nil {
+			b.Fatal(err)
+		}
+		k := vmsim.NewKernel(0)
+		c, err := NewColumn(k, k.NewAddressSpace(), name, ladderPages)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Fill(g); err != nil {
+			b.Fatal(err)
+		}
+		pages := make([][]byte, ladderPages)
+		vals := make([]uint64, 0, ladderPages*ValuesPerPage)
+		for p := range pages {
+			if pages[p], err = c.PageBytes(p); err != nil {
+				b.Fatal(err)
+			}
+			for i := range ValuesPerPage {
+				vals = append(vals, ValueAt(pages[p], i))
+			}
+		}
+		slices.Sort(vals)
+		for _, sel := range []float64{0.001, 0.01, 0.1} {
+			half := int(sel * float64(len(vals)) / 2)
+			lo, hi := vals[len(vals)/2-half], vals[len(vals)/2+half]
+			b.Run(fmt.Sprintf("%s/sel=%g%%", name, sel*100), func(b *testing.B) {
+				b.SetBytes(ladderPages * PageSize)
+				for b.Loop() {
+					for _, pg := range pages {
+						ladderSink = scan(pg, lo, hi)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ladderPages), "ns/page")
+			})
+		}
 	}
 }
+
+// BenchmarkScanFilterLadder times the page kernel on distinct pages of
+// realistic data (see benchLadder).
+func BenchmarkScanFilterLadder(b *testing.B) { benchLadder(b, ScanFilter) }
 
 func BenchmarkFullScan(b *testing.B) {
 	k := vmsim.NewKernel(0)
